@@ -11,15 +11,30 @@ on the paper's IIS deployment.
 
 Server architecture (three kinds of threads, all daemonic):
 
-* the **accept thread** accepts sockets and parks them with the reactor;
-* the **reactor thread** watches parked (idle keep-alive) connections
-  with a ``selectors`` selector and moves a connection into the bounded
-  *ready queue* the moment request bytes arrive — so an idle connection
-  never pins a worker, and a slow-loris peer occupies a selector slot,
-  not a thread;
-* ``workers`` **worker threads** pop ready connections, read exactly as
-  many pipelined requests as are already buffered, dispatch, respond,
-  and park the connection again.
+* the **accept thread** accepts sockets and hands them to the reactor;
+* the **reactor thread** watches every open connection with a
+  ``selectors`` selector and *frames* requests itself: on readable it
+  does one ``recv`` into the connection's buffer, cuts off each complete
+  request, and queues the connection in the bounded *ready queue*.  A
+  partial request waits in that buffer, so an idle connection never pins
+  a worker and a slow-loris peer occupies a selector slot, not a thread;
+* ``workers`` **worker threads** pop ready connections, then parse,
+  handle and answer each complete request in order.  A keep-alive
+  connection stays registered throughout, so in the steady state no
+  worker talks to the reactor: the self-pipe wakes it only for new
+  connections, for closes a worker decides, and to resume reading a
+  pipelining connection it paused while a framed request waited.
+
+The reactor sweeps on a fixed 0.1 s tick: a connection idle past
+``request_timeout`` is closed quietly, or answered ``408`` first when it
+stalled part-way through a request.
+
+Request bytes the reactor holds for no worker yet share one budget of
+``workers`` × :data:`~repro.transport.http11.MAX_BODY_BYTES`: a request
+reserves its framed length when its header section is read, and a
+connection whose request does not fit is paused (not read) until
+workers drain enough — the bound on buffered bodies is the one the
+worker pool gave when workers read them.
 
 Backpressure is explicit: when the ready queue stays full past a short
 grace period (the pool is saturated), the connection is answered ``503
@@ -28,12 +43,11 @@ happens at accept time past ``max_connections``.  Saturation is visible
 in ``OBS.instruments`` (busy-worker and queue-depth gauges, a rejection
 counter).
 
-The connection loop carries leftover bytes between requests, so
-pipelined requests that arrive in one segment are all served rather
-than silently dropped, and both layers of the stack frame messages with
-the same strict ``Content-Length`` rules (duplicates rejected — the
-request-smuggling shape) and the same 64 KiB header ceiling
-(:data:`~repro.transport.http11.MAX_HEADER_BYTES`).
+Both layers of the stack frame messages with one function,
+:func:`_message_end`: the same strict ``Content-Length`` rules
+(duplicates rejected — the request-smuggling shape) and the same 64 KiB
+header ceiling (:data:`~repro.transport.http11.MAX_HEADER_BYTES`), with
+leftover bytes carried over so pipelined messages are never dropped.
 
 The matching :class:`HttpClient` speaks the same dialect over up to
 ``pool_size`` plain sockets (no ``http.client``): concurrent callers —
@@ -44,6 +58,7 @@ borrow their own connection instead of queueing on a single socket.
 from __future__ import annotations
 
 import queue
+import select
 import selectors
 import socket
 import threading
@@ -75,6 +90,9 @@ Handler = Callable[[HttpRequest], HttpResponse]
 RequestObserver = Callable[[str, str, int, float], None]
 
 _RECV_CHUNK = 65536
+
+#: How often the reactor closes connections idle past ``request_timeout``.
+_SWEEP_INTERVAL = 0.1
 
 #: Methods safe to replay after a mid-exchange failure (RFC 7231 §4.2.2).
 #: ``POST``/``PATCH`` are *not* here: replaying one can double-apply a
@@ -134,6 +152,43 @@ def _response_status_of(head: bytes) -> Optional[int]:
         return None
 
 
+def _message_end(
+    buffer: bytes | bytearray, *, head_response: bool = False
+) -> Optional[int]:
+    """End offset of the first HTTP message in ``buffer``, or None.
+
+    The one framer both sides use: the server's reactor frames requests
+    with it and the client's :func:`_read_message` frames responses.
+    The offset is known once the header section is complete, before the
+    body has arrived; the message is complete when ``len(buffer)``
+    reaches it.  ``None`` means the header section is still incomplete.
+    Headers above :data:`MAX_HEADER_BYTES` raise 431 — the same ceiling
+    the message parser enforces — and ``Content-Length`` follows
+    :func:`_frame_content_length` (duplicates 400, oversize 413).
+    Bodyless statuses (1xx/204/304) end at the header section, and
+    ``head_response=True`` frames the response to a ``HEAD`` request,
+    whose ``Content-Length`` describes a body that never arrives.
+    """
+    separator = buffer.find(b"\r\n\r\n")
+    if separator == -1:
+        if len(buffer) > MAX_HEADER_BYTES:
+            raise HttpError("header section too large", status=431)
+        return None
+    if separator > MAX_HEADER_BYTES:
+        raise HttpError("header section too large", status=431)
+    head = bytes(buffer[:separator])
+    content_length = 0
+    if not head_response:
+        content_length = _frame_content_length(head)
+        status = _response_status_of(head)
+        if status is not None and bodyless_status(status):
+            # 1xx/204/304: header-terminated whatever Content-Length
+            # says (RFC 7230 §3.3.3) — the length, already validated
+            # above, describes a body that never arrives.
+            content_length = 0
+    return separator + 4 + content_length
+
+
 def _read_message(
     sock: socket.socket,
     buffer: bytes = b"",
@@ -144,83 +199,108 @@ def _read_message(
 
     ``buffer`` carries bytes already read off the socket (the tail of a
     previous keep-alive exchange); any bytes past this message's framing
-    come back as ``leftover`` so pipelined messages survive intact —
-    the seed concatenated them onto the body and silently lost them.
+    come back as ``leftover`` so pipelined messages survive intact.
+    Bytes accumulate in a ``bytearray``, so a message costs time linear
+    in its size however many segments it arrives in.
 
-    Returns ``(None, b"")`` on clean EOF — or on a socket timeout —
-    before any bytes arrive (an idle keep-alive connection going away is
-    not an error).  A timeout *after* bytes arrived means the peer
-    stalled mid-message; that surfaces as :class:`HttpError` 408.
-    Headers above :data:`MAX_HEADER_BYTES` raise 431 — the same ceiling
-    the message parser enforces.  ``head_response=True`` frames the
-    response to a ``HEAD`` request, whose ``Content-Length`` describes a
-    body that never arrives.
+    Returns ``(None, b"")`` on clean EOF before any bytes arrive; EOF
+    part-way through a message raises :class:`HttpError`.  A socket
+    timeout propagates.  Framing errors are those of :func:`_message_end`.
     """
-    # read until the header terminator
-    while b"\r\n\r\n" not in buffer:
-        if len(buffer) > MAX_HEADER_BYTES:
-            raise HttpError("header section too large", status=431)
-        try:
-            chunk = sock.recv(_RECV_CHUNK)
-        except socket.timeout:
-            if not buffer:
-                return None, b""  # idle keep-alive connection; close quietly
-            raise HttpError("client stalled mid-headers", status=408) from None
+    data = bytearray(buffer)
+    while True:
+        end = _message_end(data, head_response=head_response)
+        if end is not None and len(data) >= end:
+            return bytes(data[:end]), bytes(data[end:])
+        chunk = sock.recv(_RECV_CHUNK)
         if not chunk:
-            if not buffer:
+            if not data:
                 return None, b""
-            raise HttpError("connection closed mid-headers")
-        buffer += chunk
-    head, _, rest = buffer.partition(b"\r\n\r\n")
-    if len(head) > MAX_HEADER_BYTES:
-        raise HttpError("header section too large", status=431)
-    if head_response:
-        content_length = 0
-    else:
-        content_length = _frame_content_length(head)
-        status = _response_status_of(head)
-        if status is not None and bodyless_status(status):
-            # 1xx/204/304: header-terminated whatever Content-Length
-            # says (RFC 7230 §3.3.3) — the length, already validated
-            # above, describes a body that never arrives.
-            content_length = 0
-    while len(rest) < content_length:
-        try:
-            chunk = sock.recv(_RECV_CHUNK)
-        except socket.timeout:
-            raise HttpError("client stalled mid-body", status=408) from None
-        if not chunk:
-            raise HttpError("connection closed mid-body")
-        rest += chunk
-    return head + b"\r\n\r\n" + rest[:content_length], rest[content_length:]
+            raise HttpError("connection closed mid-message")
+        data += chunk
 
 
-def _buffered_message_ready(buffer: bytes) -> bool:
-    """Does ``buffer`` already hold one complete message?
+def _poll(sock: socket.socket, events: int, timeout: float) -> bool:
+    """Wait up to ``timeout`` seconds for ``events`` (or an error) on ``sock``."""
+    poller = select.poll()
+    poller.register(sock, events)
+    return bool(poller.poll(timeout * 1000))
 
-    Used by workers to serve pipelined requests back-to-back without a
-    trip through the reactor.  Malformed framing counts as "ready": the
-    worker must dispatch it to produce the 400/413/431 diagnostic.
+
+def _send_all(sock: socket.socket, data: bytes, timeout: float) -> None:
+    """``sendall`` for a non-blocking socket.
+
+    Raises ``socket.timeout`` when the peer accepts no bytes for
+    ``timeout`` seconds, the bound a blocking ``sendall`` with that
+    socket timeout would have had.
     """
-    separator = buffer.find(b"\r\n\r\n")
-    if separator == -1:
-        return len(buffer) > MAX_HEADER_BYTES  # ready to be rejected (431)
+    view = memoryview(data)
+    while view:
+        try:
+            view = view[sock.send(view):]
+        except (BlockingIOError, InterruptedError):
+            if not _poll(sock, select.POLLOUT, timeout):
+                raise socket.timeout("peer stopped reading") from None
+
+
+def _send_nowait(sock: socket.socket, data: bytes) -> None:
+    """Best-effort single ``send`` of a small diagnostic before a close;
+    never blocks the reactor or accept thread."""
     try:
-        length = _frame_content_length(buffer[:separator])
-    except HttpError:
-        return True
-    return len(buffer) - (separator + 4) >= length
+        sock.send(data)
+    except OSError:  # peer gone or not reading: nothing more to do
+        pass
+
+
+def _error_response(status: int, message: str) -> bytes:
+    """A diagnostic response that closes the connection."""
+    response = HttpResponse.error(status, message)
+    response.headers.set("Connection", "close")
+    return response.to_bytes()
 
 
 class _Connection:
-    """Server-side per-connection state: socket + inter-request buffer."""
+    """Server-side per-connection state.
 
-    __slots__ = ("sock", "buffer", "parked_at", "peer")
+    Only the reactor touches:
+
+    * ``buffer`` — the start of a request not yet complete;
+    * ``admitted`` — bytes of the server's buffer budget reserved for the
+      request at the head of ``buffer`` (0 until its header is framed);
+    * ``paused`` — reading stopped until the budget can admit that
+      request.
+
+    The rest is shared with the workers and guarded by ``lock``:
+
+    * ``pending`` — framed requests in arrival order: raw bytes, or the
+      :class:`HttpError` a malformed one raised (answered, then closed);
+    * ``busy`` — a worker owns the connection (queued or serving), so one
+      worker at a time serves it and responses leave in request order;
+    * ``reading`` — the socket is registered with the reactor's selector;
+    * ``eof`` — no more requests will be read: the peer finished sending,
+      or framing failed;
+    * ``closing`` — the connection is being closed; ignore its events;
+    * ``last_active`` — when bytes last arrived or a response finished,
+      for the idle sweep.
+    """
+
+    __slots__ = (
+        "sock", "peer", "lock", "buffer", "admitted", "paused", "pending",
+        "busy", "reading", "eof", "closing", "last_active",
+    )
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.buffer = b""
-        self.parked_at = 0.0
+        self.lock = threading.Lock()
+        self.buffer = bytearray()
+        self.admitted = 0
+        self.paused = False
+        self.pending: deque[bytes | HttpError] = deque()
+        self.busy = False
+        self.reading = False
+        self.eof = False
+        self.closing = False
+        self.last_active = time.monotonic()
         try:
             self.peer: Optional[str] = sock.getpeername()[0]
         except (OSError, IndexError):
@@ -242,12 +322,19 @@ class HttpServer:
             client = HttpClient("127.0.0.1", server.port, pool_size=4)
             response = client.get("/ping")
 
-    ``workers`` bounds concurrent request handling; parked keep-alive
+    ``workers`` bounds concurrent request handling; idle keep-alive
     connections cost a selector slot, not a thread, so thousands of idle
     clients can coexist with a small pool.  ``queue_size`` bounds the
-    ready queue between reactor and workers: connections that cannot be
-    dispatched within ``saturation_grace`` seconds are refused with
-    ``503`` + ``Retry-After: {retry_after}``.
+    ready queue between reactor and workers: connections with a complete
+    request that cannot be dispatched within ``saturation_grace``
+    seconds are refused with ``503`` + ``Retry-After: {retry_after}``.
+
+    Request bytes the reactor has read but no worker has taken yet are
+    capped at ``workers`` × :data:`MAX_BODY_BYTES` across all connections
+    (:attr:`buffered_bytes`): each request reserves its full framed length
+    once its header section is read, and a connection whose next request
+    does not fit stops being read until workers drain enough.  One
+    waiting past ``request_timeout`` is refused with ``503``.
     """
 
     def __init__(
@@ -307,17 +394,31 @@ class HttpServer:
         )
         self._connections: set[_Connection] = set()
         self._lock = threading.Lock()
-        # reactor plumbing: a selector over parked connections plus a
-        # self-pipe so workers can wake the reactor to (re)park.
+        # reactor plumbing: a selector over every open connection plus a
+        # self-pipe through which the accept thread and workers hand it
+        # new, resumed and closing connections.
         self._selector = selectors.DefaultSelector()
-        self._park_requests: deque[_Connection] = deque()
+        self._handoffs: deque[_Connection] = deque()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
+        # buffer budget: bytes admitted (read or reserved by the reactor,
+        # not yet taken by a worker) and the connections waiting for room
+        self._budget = workers * MAX_BODY_BYTES
+        self._held = 0
+        self._held_lock = threading.Lock()
+        self._paused: deque[_Connection] = deque()
         self._label = None  # bound gauge children, set in start()
 
     @property
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
+
+    @property
+    def buffered_bytes(self) -> int:
+        """Request bytes admitted to the reactor's buffers and not yet
+        taken by a worker (stats); never above ``workers`` ×
+        :data:`MAX_BODY_BYTES` unless one request alone is larger."""
+        return self._held
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "HttpServer":
@@ -377,7 +478,7 @@ class HttpServer:
         self._wake_reactor()  # reactor notices _running went False
         if self._reactor_thread is not None:
             self._reactor_thread.join(timeout=2)
-        # close every connection: parked, queued, or mid-request
+        # close every connection: idle, queued, or mid-request
         with self._lock:
             for conn in list(self._connections):
                 conn.close()
@@ -418,7 +519,7 @@ class HttpServer:
 
     # -- saturation -----------------------------------------------------
     def _reject(self, conn: _Connection, message: str) -> None:
-        """Refuse a connection with 503 + Retry-After, then close it."""
+        """Refuse a connection with 503 + Retry-After; the caller closes it."""
         # Count before the refusal hits the wire: a caller reacting to
         # the 503 must already see it in the stats/instruments.
         self.rejected_connections += 1
@@ -427,11 +528,7 @@ class HttpServer:
         response = HttpResponse.error(503, message)
         response.headers.set("Retry-After", f"{self.retry_after:g}")
         response.headers.set("Connection", "close")
-        try:
-            conn.sock.sendall(response.to_bytes())
-        except OSError:  # pragma: no cover - peer already gone
-            pass
-        self._discard(conn)
+        _send_nowait(conn.sock, response.to_bytes())
 
     def _discard(self, conn: _Connection) -> None:
         with self._lock:
@@ -445,23 +542,25 @@ class HttpServer:
                 sock, _addr = self._listener.accept()
             except OSError:
                 return  # listener closed
-            sock.settimeout(self.request_timeout)
+            # Non-blocking: the reactor's reads must never stall it, and
+            # workers write through _send_all.
+            sock.setblocking(False)
             conn = _Connection(sock)
             with self._lock:
                 overloaded = len(self._connections) >= self.max_connections
                 if not overloaded:
                     self._connections.add(conn)
             if overloaded:
-                conn.parked_at = time.monotonic()
                 self._reject(conn, "server saturated: connection limit reached")
+                conn.close()
                 continue
-            self._park(conn)
+            self._handoff(conn)
 
     # -- reactor --------------------------------------------------------
-    def _park(self, conn: _Connection) -> None:
-        """Hand a connection to the reactor to await its next request."""
-        conn.parked_at = time.monotonic()
-        self._park_requests.append(conn)
+    def _handoff(self, conn: _Connection) -> None:
+        """Ask the reactor to register a new or resumed connection, or to
+        close one (``conn.closing`` / ``conn.eof``)."""
+        self._handoffs.append(conn)
         self._wake_reactor()
 
     def _wake_reactor(self) -> None:
@@ -471,49 +570,195 @@ class HttpServer:
             pass
 
     def _reactor_loop(self) -> None:
-        self._selector.register(self._wake_r, selectors.EVENT_READ, None)
+        """Frame requests off every open connection; only this thread
+        reads sockets and touches the selector."""
+        selector = self._selector
+        selector.register(self._wake_r, selectors.EVENT_READ, None)
+        next_sweep = time.monotonic() + _SWEEP_INTERVAL
         while self._running:
             try:
-                events = self._selector.select(timeout=0.1)
+                events = selector.select(timeout=_SWEEP_INTERVAL)
             except OSError:  # pragma: no cover - selector closed under us
                 return
             for key, _mask in events:
-                if key.fileobj is self._wake_r:
+                if key.data is None:
                     try:
                         while self._wake_r.recv(4096):
                             pass
-                    except (BlockingIOError, OSError):
+                    except OSError:
                         pass
-                    continue
-                conn: _Connection = key.data
-                try:
-                    self._selector.unregister(conn.sock)
-                except (KeyError, ValueError, OSError):  # pragma: no cover
-                    continue
-                self._dispatch(conn)
-            # register connections parked by accept/workers
-            while self._park_requests:
-                conn = self._park_requests.popleft()
-                if not self._running:
-                    self._discard(conn)
-                    continue
-                try:
-                    self._selector.register(
-                        conn.sock, selectors.EVENT_READ, conn
-                    )
-                except (KeyError, ValueError, OSError):
-                    self._discard(conn)
-            self._close_idle()
-        # shutdown: release whatever is still parked
+                else:
+                    self._on_readable(key.data)
+            while self._handoffs:
+                conn = self._handoffs.popleft()
+                if self._running and not (conn.closing or conn.eof or conn.paused):
+                    with conn.lock:
+                        self._set_reading(conn, True)  # new or resumed
+                if conn.closing or conn.eof or not self._running:
+                    # a worker's close, EOF after the last answer,
+                    # shutdown, or a failed registration
+                    self._close(conn)
+            if self._paused:
+                self._resume_paused()
+            now = time.monotonic()
+            if now >= next_sweep:
+                self._sweep(now)
+                next_sweep = now + _SWEEP_INTERVAL
+        # shutdown: release whatever is still registered or paused
         try:
-            for key in list(self._selector.get_map().values()):
+            for key in list(selector.get_map().values()):
                 if key.data is not None:
                     self._discard(key.data)
         except (RuntimeError, OSError):  # pragma: no cover
             pass
+        for conn in self._paused:
+            self._discard(conn)
+
+    def _set_reading(self, conn: _Connection, reading: bool) -> None:
+        """(Un)register ``conn`` with the selector; reactor thread only,
+        under ``conn.lock``."""
+        if conn.reading == reading:
+            return
+        try:
+            if reading:
+                self._selector.register(conn.sock, selectors.EVENT_READ, conn)
+            else:
+                self._selector.unregister(conn.sock)
+        except (KeyError, ValueError, OSError):
+            reading = False
+            conn.closing = True
+        conn.reading = reading
+
+    def _close(self, conn: _Connection) -> None:
+        """Unregister and close ``conn``, returning its budget; reactor
+        thread only."""
+        with conn.lock:
+            conn.closing = True
+            self._set_reading(conn, False)
+            held = conn.admitted + sum(
+                len(item) for item in conn.pending if isinstance(item, bytes)
+            )
+            conn.admitted = 0
+            conn.pending.clear()
+        conn.buffer.clear()
+        self._release(held)
+        self._discard(conn)
+
+    # -- buffer budget ----------------------------------------------------
+    def _admit(self, size: int) -> bool:
+        """Reserve ``size`` bytes of the buffer budget.  An empty budget
+        admits any one request, so a request never waits forever."""
+        with self._held_lock:
+            if self._held and self._held + size > self._budget:
+                return False
+            self._held += size
+            return True
+
+    def _release(self, size: int) -> None:
+        if size:
+            with self._held_lock:
+                self._held -= size
+
+    def _resume_paused(self) -> None:
+        """Read paused connections again, oldest first, while the budget
+        admits their next request; reactor thread only."""
+        while self._paused:
+            conn = self._paused[0]
+            if not conn.closing:
+                end = _message_end(conn.buffer)  # framed once already
+                if not self._admit(end):
+                    return
+                conn.admitted = end
+            self._paused.popleft()
+            if conn.closing:
+                continue
+            conn.paused = False
+            conn.last_active = time.monotonic()  # the wait was the server's
+            with conn.lock:
+                if not conn.busy:  # a busy one's worker hands it back
+                    self._set_reading(conn, True)
+            self._advance(conn)
+
+    # -- framing ----------------------------------------------------------
+    def _on_readable(self, conn: _Connection) -> None:
+        """One ``recv`` into the connection's buffer, then frame it."""
+        try:
+            chunk = conn.sock.recv(_RECV_CHUNK)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            chunk = b""  # reset by peer: nothing more will arrive
+        if chunk:
+            conn.buffer += chunk
+            conn.last_active = time.monotonic()
+        self._advance(conn, eof=not chunk)
+
+    def _advance(self, conn: _Connection, *, eof: bool = False) -> None:
+        """Cut every complete request off ``conn.buffer`` and queue the
+        connection for a worker.
+
+        Each request reserves its framed length from the buffer budget
+        when its header section is complete; when the budget cannot
+        admit it, the connection is paused until workers drain enough.
+        EOF part-way through a request, like a framing error, is queued
+        as an :class:`HttpError` answered after the requests before it.
+        """
+        buffer = conn.buffer
+        framed: list[bytes | HttpError] = []
+        paused = False
+        try:
+            while buffer:
+                end = _message_end(buffer)
+                if end is None:
+                    break
+                if not conn.admitted:
+                    if not self._admit(end):
+                        paused = True
+                        break
+                    conn.admitted = end
+                if len(buffer) < end:
+                    break
+                framed.append(bytes(buffer[:end]))
+                del buffer[:end]
+                conn.admitted = 0  # the reservation moves with the request
+        except HttpError as exc:
+            framed.append(exc)
+        if eof and buffer:
+            framed.append(HttpError("connection closed mid-message"))
+        if framed and isinstance(framed[-1], HttpError):
+            eof = True
+            buffer.clear()
+            self._release(conn.admitted)
+            conn.admitted = 0
+        with conn.lock:
+            conn.pending.extend(framed)  # _close returns their budget
+            if conn.closing:
+                return
+            if eof:
+                conn.eof = True
+            elif paused:
+                conn.paused = True
+                self._paused.append(conn)
+                self._set_reading(conn, False)
+            if conn.busy:
+                # The worker serves what is pending before it lets go.
+                # Stop reading meanwhile so read-ahead stays bounded; it
+                # hands the connection back once drained.
+                if conn.pending or conn.eof:
+                    self._set_reading(conn, False)
+                return
+            dispatch = bool(conn.pending)
+            if dispatch:
+                conn.busy = True
+                if conn.eof:
+                    self._set_reading(conn, False)
+        if dispatch:
+            self._dispatch(conn)
+        elif conn.eof:
+            self._close(conn)
 
     def _dispatch(self, conn: _Connection) -> None:
-        """Queue a readable connection for a worker, with backpressure."""
+        """Queue a connection with a request for a worker, with backpressure."""
         try:
             self._ready.put_nowait(conn)
         except queue.Full:
@@ -522,24 +767,32 @@ class HttpServer:
                 self._ready.put(conn, timeout=self.saturation_grace)
             except queue.Full:
                 self._reject(conn, "server saturated: worker pool busy")
+                self._close(conn)
                 return
         if self._label is not None:
             self._label[1].set(self._ready.qsize())
 
-    def _close_idle(self) -> None:
-        """Quietly close parked connections idle past request_timeout."""
-        deadline = time.monotonic() - self.request_timeout
-        stale = [
-            key.data
-            for key in list(self._selector.get_map().values())
-            if key.data is not None and key.data.parked_at < deadline
-        ]
-        for conn in stale:
-            try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError, OSError):  # pragma: no cover
+    def _sweep(self, now: float) -> None:
+        """Close connections idle past ``request_timeout``: quietly when
+        empty, with a 408 when a request stalled part-way, with a 503
+        when it waited that long for buffer budget."""
+        deadline = now - self.request_timeout
+        for key in list(self._selector.get_map().values()):
+            conn = key.data
+            # only the reactor sets busy, so an idle read here is stable
+            if conn is None or conn.busy or conn.last_active > deadline:
                 continue
-            self._discard(conn)
+            if conn.buffer:
+                _send_nowait(
+                    conn.sock, _error_response(408, "request stalled mid-message")
+                )
+            self._close(conn)
+        for conn in list(self._paused):
+            if not (conn.closing or conn.busy) and conn.last_active <= deadline:
+                self._reject(conn, "server saturated: request buffers full")
+                self._close(conn)
+        if self._paused:
+            self._paused = deque(c for c in self._paused if not c.closing)
 
     # -- workers --------------------------------------------------------
     def _worker_loop(self) -> None:
@@ -552,69 +805,73 @@ class HttpServer:
                 label[0].inc()  # workers busy
                 label[1].set(self._ready.qsize())
             try:
-                self._serve_ready(conn)
+                self._serve(conn)
             finally:
                 if label is not None:
                     label[0].dec()
 
-    def _serve_ready(self, conn: _Connection) -> None:
-        """Serve every request already in flight on ``conn``, then park.
+    def _serve(self, conn: _Connection) -> None:
+        """Answer every request pending on ``conn``, in order.
 
-        Loops while complete pipelined messages sit in the connection
-        buffer (no reactor round-trip between them), parks the connection
-        when the buffer runs dry, closes it on ``Connection: close``,
-        errors, or EOF.
+        In the steady keep-alive state this ends by clearing ``busy``:
+        the socket stayed registered, so the reactor needs no word.  It
+        wakes the reactor only to close the connection, or to resume
+        reading one it stopped reading while a pipelined request waited.
         """
-        while self._running:
+        while True:
+            with conn.lock:
+                if not conn.pending:
+                    # last_active first: the sweep reads both unlocked
+                    conn.last_active = time.monotonic()
+                    conn.busy = False
+                    if not conn.reading:
+                        self._handoff(conn)  # resume, or close after EOF
+                    return
+                item = conn.pending.popleft()
+            if isinstance(item, bytes):
+                self._release(len(item))  # this worker holds it now
+            if not self._answer(conn, item):
+                with conn.lock:
+                    conn.closing = True
+                self._handoff(conn)
+                return
+
+    def _answer(self, conn: _Connection, item: bytes | HttpError) -> bool:
+        """Respond to one framed request; False when the connection ends."""
+        try:
+            if isinstance(item, HttpError):
+                raise item  # the reactor could not frame it
+            request = parse_request(item)
+        except HttpError as exc:
+            # a malformed peer gets a diagnostic (400 framing / 413 body /
+            # 431 headers) before close
             try:
-                raw, conn.buffer = _read_message(conn.sock, conn.buffer)
-            except HttpError as exc:
-                # a stalled or malformed peer gets a diagnostic response
-                # (408 timeout / 400 framing / 431 headers) before close
-                response = HttpResponse.error(exc.status, str(exc))
-                response.headers.set("Connection", "close")
-                try:
-                    conn.sock.sendall(response.to_bytes())
-                except OSError:  # pragma: no cover - peer already gone
-                    pass
-                break
-            except (socket.timeout, OSError):
-                break
-            if raw is None:
-                break  # clean EOF
-            try:
-                request = parse_request(raw)
-                request.client_address = conn.peer
-            except HttpError as exc:
-                response = HttpResponse.error(exc.status, str(exc))
-                response.headers.set("Connection", "close")
-                try:
-                    conn.sock.sendall(response.to_bytes())
-                except OSError:  # pragma: no cover
-                    pass
-                break
-            response = self._handle(request)
-            keep_alive = (
-                request.headers.get("Connection", "keep-alive").lower()
-                != "close"
-            )
-            if not keep_alive:
-                response.headers.set("Connection", "close")
-            try:
-                conn.sock.sendall(
-                    # HEAD: status line + headers only; Content-Length
-                    # still describes the suppressed body (RFC 7230 §3.3)
-                    response.to_bytes(include_body=request.method != "HEAD")
+                _send_all(
+                    conn.sock,
+                    _error_response(exc.status, str(exc)),
+                    self.request_timeout,
                 )
-            except OSError:
-                break
-            if not keep_alive:
-                break
-            if conn.buffer and _buffered_message_ready(conn.buffer):
-                continue  # next pipelined request is already here
-            self._park(conn)
-            return
-        self._discard(conn)
+            except OSError:  # pragma: no cover - peer already gone
+                pass
+            return False
+        request.client_address = conn.peer
+        response = self._handle(request)
+        keep_alive = (
+            request.headers.get("Connection", "keep-alive").lower() != "close"
+        )
+        if not keep_alive:
+            response.headers.set("Connection", "close")
+        try:
+            _send_all(
+                conn.sock,
+                # HEAD: status line + headers only; Content-Length still
+                # describes the suppressed body (RFC 7230 §3.3)
+                response.to_bytes(include_body=request.method != "HEAD"),
+                self.request_timeout,
+            )
+        except OSError:
+            return False
+        return keep_alive and self._running
 
     def _handle(self, request: HttpRequest) -> HttpResponse:
         """Dispatch one parsed request: handler + telemetry + access hook.
@@ -678,29 +935,22 @@ class _PooledConnection:
         except OSError:  # pragma: no cover
             pass
 
-    def stale(self, timeout: float) -> bool:
-        """Non-destructive peek: did the server already close (or poison)
+    def stale(self) -> bool:
+        """Non-destructive probe: did the server already close (or poison)
         this idle keep-alive socket?
 
-        A zero-timeout ``MSG_PEEK`` that *returns* means either EOF
-        (server closed while we idled) or unsolicited bytes (framing
-        desync) — both make the socket unusable.  ``BlockingIOError``
-        means a healthy, quiet socket.  Detecting staleness *before*
-        writing is what lets even non-idempotent requests migrate to a
-        fresh connection safely: no bytes of theirs were ever sent.
+        One zero-timeout readiness poll.  An idle keep-alive socket has
+        nothing to read, so *readable* means either EOF (server closed
+        while we idled) or unsolicited bytes (framing desync) — both make
+        the socket unusable; an error condition does too.  Detecting
+        staleness *before* writing is what lets even non-idempotent
+        requests migrate to a fresh connection safely: no bytes of theirs
+        were ever sent.
         """
-        sock = self.sock
         try:
-            sock.settimeout(0)
-            try:
-                sock.recv(1, socket.MSG_PEEK)
-            finally:
-                sock.settimeout(timeout)
-        except (BlockingIOError, InterruptedError):
-            return False
-        except OSError:
-            return True
-        return True  # EOF or unsolicited bytes: either way unusable
+            return _poll(self.sock, select.POLLIN, 0)
+        except (OSError, ValueError):
+            return True  # closed or unusable descriptor
 
 
 #: Every live HttpClient, for scrape-time capacity gauges.  A WeakSet so
@@ -903,7 +1153,7 @@ class HttpClient:
                     conn = self._idle.pop()  # LIFO: warmest socket first
                     if (
                         time.monotonic() - conn.last_used > self.idle_ttl
-                        or conn.stale(self.timeout)
+                        or conn.stale()
                     ):
                         conn.close()
                         self.reaped_connections += 1

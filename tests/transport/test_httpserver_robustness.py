@@ -239,6 +239,7 @@ class TestRequestTimeout:
                 (server.host, server.port), timeout=5
             ) as sock:
                 sock.sendall(head)
+                started = time.monotonic()
                 sock.settimeout(5)
                 data = b""
                 while b"\r\n\r\n" not in data:
@@ -246,7 +247,10 @@ class TestRequestTimeout:
                     if not chunk:
                         break
                     data += chunk
+                elapsed = time.monotonic() - started
             assert b"HTTP/1.1 408" in data
+            assert b"Connection: close" in data
+            assert 0.15 < elapsed < 3.0
 
     def test_idle_keep_alive_closed_quietly(self):
         with HttpServer(echo_handler, request_timeout=0.2) as server:
