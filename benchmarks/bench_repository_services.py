@@ -95,6 +95,30 @@ def test_bench_soap_codec_invocation(benchmark):
     assert payload.local_name() == "Result"
 
 
+def test_bench_soap_codec_bulk(benchmark):
+    """A Caching.put carrying a 16 KiB value full of XML specials, through
+    the SOAP codec: building the envelope, the endpoint's parse and
+    dispatch, and parsing the reply.  Envelope cost at bulk size."""
+    import random
+
+    from repro.services.commerce import CachingService
+
+    endpoint = SoapEndpoint()
+    endpoint.mount(ServiceHost(CachingService()))
+    rng = random.Random(13)
+    value = "".join(rng.choices("abcdefghij0123456789<>&'\"=;:/-", k=16 * 1024))
+
+    def call():
+        envelope = build_call("put", {"key": "bulk", "value": value}).toxml().encode()
+        request = HttpRequest("POST", "/soap/Caching", {"Content-Type": "text/xml"}, envelope)
+        response = serve_once(endpoint, request)
+        _, payload = parse_envelope(response.text())
+        return payload
+
+    payload = benchmark(call)
+    assert payload.local_name() == "Result"
+
+
 def test_bench_credit_score(benchmark, repository):
     broker, bus, _ = repository
     client = BusClient(bus, broker)

@@ -26,24 +26,15 @@ __all__ = [
     "escape_attribute",
 ]
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': "&quot;", "'": "&apos;"}
-
-
 def escape_text(value: str) -> str:
     """Escape character data for inclusion in element content."""
-    out = []
-    for ch in value:
-        out.append(_TEXT_ESCAPES.get(ch, ch))
-    return "".join(out)
+    # '&' first, so the '&' of an inserted reference is not escaped again
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def escape_attribute(value: str) -> str:
     """Escape character data for inclusion in a double-quoted attribute."""
-    out = []
-    for ch in value:
-        out.append(_ATTR_ESCAPES.get(ch, ch))
-    return "".join(out)
+    return escape_text(value).replace('"', "&quot;").replace("'", "&apos;")
 
 
 class Node:

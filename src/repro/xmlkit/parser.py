@@ -12,10 +12,19 @@ Supported grammar: prolog with XML declaration, comments and processing
 instructions; elements with attributes (single or double quoted); character
 data; CDATA sections; the five predefined entities plus decimal/hex
 character references. DTDs are tolerated (skipped), not interpreted.
+
+Cost: parsing is linear in the input, and the scanning runs at C level.
+Text runs, names, whitespace and DOCTYPE bodies are found with
+``str.find`` or one compiled-pattern match, not walked per character in
+Python, and line/column are kept with ``str.count``/``str.rfind`` over
+each consumed span. References are expanded with a ``str.replace`` chain
+when every ``&`` starts a predefined entity.
 """
 
 from __future__ import annotations
 
+import re
+import string
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -46,16 +55,27 @@ class XMLSyntaxError(ValueError):
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
-_NAME_START_EXTRA = set(":_")
-_NAME_EXTRA = set(":_-.")
+
+def _name_class(ascii_allowed: str) -> str:
+    """A character class of ``ascii_allowed`` plus every code point above
+    0x7F, spelled as "no other ASCII character": a negated ASCII class
+    compiles to one small bitmap, where a range up to U+10FFFF makes
+    ``re.compile`` walk 64K code points (~13 ms at import)."""
+    others = "".join(chr(code) for code in range(0x80) if chr(code) not in ascii_allowed)
+    return f"[^{re.escape(others)}]"
 
 
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA or ord(ch) > 0x7F
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA or ord(ch) > 0x7F
+# An XML name: an ASCII letter, ':' or '_', then ASCII letters, digits and
+# ':_-.'; any code point above 0x7F is accepted in either position.
+_NAME = re.compile(
+    _name_class(string.ascii_letters + ":_")
+    + _name_class(string.ascii_letters + string.digits + ":_-.")
+    + "*"
+)
+_WHITESPACE = re.compile(r"[ \t\r\n]*")
+_ANGLE = re.compile("[<>]")
+# an '&' that does not start one of the five predefined entities
+_NOT_PREDEFINED = re.compile("&(?!(?:lt|gt|amp|quot|apos);)")
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +140,16 @@ class _Scanner:
     def peek(self, n: int = 1) -> str:
         return self.text[self.pos : self.pos + n]
 
-    def advance(self, n: int = 1) -> str:
-        chunk = self.text[self.pos : self.pos + n]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += n
-        return chunk
+    def advance(self, n: int = 1) -> None:
+        start = self.pos
+        end = min(start + n, len(self.text))
+        newlines = self.text.count("\n", start, end)
+        if newlines:
+            self.line += newlines
+            self.column = end - self.text.rfind("\n", start, end)
+        else:
+            self.column += end - start
+        self.pos = end
 
     def expect(self, literal: str, what: str) -> None:
         if not self.text.startswith(literal, self.pos):
@@ -137,59 +157,67 @@ class _Scanner:
         self.advance(len(literal))
 
     def skip_whitespace(self) -> None:
-        while not self.eof() and self.text[self.pos] in " \t\r\n":
-            self.advance()
+        self.advance(_WHITESPACE.match(self.text, self.pos).end() - self.pos)
 
     def read_until(self, terminator: str, what: str) -> str:
         end = self.text.find(terminator, self.pos)
         if end == -1:
             raise self.error(f"unterminated {what}")
         data = self.text[self.pos : end]
-        self.advance(end - self.pos)
-        self.advance(len(terminator))
+        self.advance(end + len(terminator) - self.pos)
         return data
 
     def read_name(self) -> str:
-        if self.eof() or not _is_name_start(self.text[self.pos]):
+        match = _NAME.match(self.text, self.pos)
+        if match is None:
             raise self.error("expected XML name")
-        start = self.pos
-        while not self.eof() and _is_name_char(self.text[self.pos]):
-            self.advance()
-        return self.text[start : self.pos]
+        self.advance(match.end() - self.pos)
+        return match.group()
 
 
 def _decode_references(raw: str, scanner: _Scanner) -> str:
     """Expand entity and character references in character/attribute data."""
     if "&" not in raw:
         return raw
+    if _NOT_PREDEFINED.search(raw) is None:
+        # every '&' starts a predefined entity; '&amp;' goes last so the
+        # '&' it yields cannot start another reference
+        return (
+            raw.replace("&lt;", "<")
+            .replace("&gt;", ">")
+            .replace("&quot;", '"')
+            .replace("&apos;", "'")
+            .replace("&amp;", "&")
+        )
     out: list[str] = []
     i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = raw.find(";", i + 1)
+    while True:
+        amp = raw.find("&", i)
+        if amp == -1:
+            out.append(raw[i:])
+            return "".join(out)
+        out.append(raw[i:amp])
+        end = raw.find(";", amp + 1)
         if end == -1:
             raise scanner.error("unterminated entity reference")
-        name = raw[i + 1 : end]
+        name = raw[amp + 1 : end]
         if name.startswith("#x") or name.startswith("#X"):
-            try:
-                out.append(chr(int(name[2:], 16)))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{name};") from None
+            out.append(_character_reference(name, name[2:], 16, scanner))
         elif name.startswith("#"):
-            try:
-                out.append(chr(int(name[1:])))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{name};") from None
+            out.append(_character_reference(name, name[1:], 10, scanner))
         elif name in _ENTITIES:
             out.append(_ENTITIES[name])
         else:
             raise scanner.error(f"unknown entity &{name};")
         i = end + 1
-    return "".join(out)
+
+
+def _character_reference(name: str, digits: str, base: int, scanner: _Scanner) -> str:
+    try:
+        return chr(int(digits, base))
+    except (ValueError, OverflowError):
+        # OverflowError: a code point too large for chr() to take at all
+        raise scanner.error(f"bad character reference &{name};") from None
 
 
 def _read_attributes(scanner: _Scanner) -> dict[str, str]:
@@ -266,17 +294,19 @@ def parse_events(text: str) -> Iterator[Event]:
             yield Characters(line, column, data, cdata=True)
             continue
         if scanner.peek(2) == "<!":
-            # DOCTYPE or other declaration: skip to matching '>'
+            # DOCTYPE or other declaration: skip to the matching '>' (or eof)
             scanner.advance(2)
+            end = len(scanner.text)
             depth = 0
-            while not scanner.eof():
-                ch = scanner.advance()
-                if ch == "<":
+            for angle in _ANGLE.finditer(scanner.text, scanner.pos):
+                if angle.group() == "<":
                     depth += 1
-                elif ch == ">":
-                    if depth == 0:
-                        break
+                elif depth == 0:
+                    end = angle.end()
+                    break
+                else:
                     depth -= 1
+            scanner.advance(end - scanner.pos)
             continue
         if scanner.peek(2) == "<?":
             scanner.advance(2)

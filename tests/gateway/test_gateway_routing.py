@@ -119,6 +119,17 @@ class TestMediatedRouting:
         assert response.status == 200
         assert "42" in response.text()
 
+    def test_huge_character_reference_in_post_body_is_400(self, stack):
+        # too large for chr(): malformed arguments, not a gateway crash
+        gw, fleet, client = stack
+        response = client.post(
+            "/pub/Counter/bump",
+            '<arguments><n type="int">&#99999999999999999999;</n></arguments>',
+            content_type="application/xml",
+        )
+        assert response.status == 400
+        assert "Client.BadRequest" in response.text()
+
     def test_get_of_non_idempotent_operation_is_405(self, stack):
         gw, fleet, client = stack
         token = issue_token(client)

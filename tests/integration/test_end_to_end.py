@@ -34,6 +34,7 @@ from repro.transport import (
     HttpServer,
     RestEndpoint,
     SoapEndpoint,
+    build_call,
     rest_proxy,
     soap_proxy,
 )
@@ -69,6 +70,36 @@ class TestSocketTransport:
                 with pytest.raises(ServiceFault) as info:
                     proxy.score(ssn="bad")
                 assert info.value.code == "Client.BadSsn"
+
+    # a character reference too large for chr() is malformed input (4xx),
+    # not a handler crash (500)
+    HUGE_REFERENCE = "&#99999999999999999999;"
+
+    def test_soap_huge_character_reference_is_bad_envelope(self):
+        endpoint = SoapEndpoint()
+        endpoint.mount(ServiceHost(EncryptionService()))
+        envelope = build_call("caesar", {"text": "PLACEHOLDER", "shift": 3}).toxml()
+        body = envelope.replace("PLACEHOLDER", self.HUGE_REFERENCE)
+        with HttpServer(endpoint) as server:
+            with HttpClient(server.host, server.port) as http:
+                response = http.post("/soap/Encryption", body, content_type="text/xml")
+        assert response.status == 400
+        assert "Client.BadEnvelope" in response.text()
+
+    def test_rest_huge_character_reference_is_bad_request(self):
+        endpoint = RestEndpoint()
+        endpoint.mount(ServiceHost(EncryptionService()))
+        body = (
+            f'<arguments><text type="string">{self.HUGE_REFERENCE}</text>'
+            '<shift type="int">3</shift></arguments>'
+        )
+        with HttpServer(endpoint) as server:
+            with HttpClient(server.host, server.port) as http:
+                response = http.post(
+                    "/rest/Encryption/caesar", body, content_type="application/xml"
+                )
+        assert response.status == 400
+        assert "Client.BadRequest" in response.text()
 
     def test_concurrent_clients(self):
         endpoint = RestEndpoint()

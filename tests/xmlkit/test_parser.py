@@ -117,6 +117,26 @@ class TestEntities:
         with pytest.raises(XMLSyntaxError):
             parse("<a>&#xZZ;</a>")
 
+    @pytest.mark.parametrize(
+        "doc",
+        ["<a>&#99999999999999999999;</a>", '<a v="&#x99999999999999999999;"/>'],
+    )
+    def test_character_reference_too_large_for_chr_rejected(self, doc):
+        # chr() raises OverflowError, not ValueError, past a C int
+        with pytest.raises(XMLSyntaxError, match="bad character reference"):
+            parse(doc)
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("&amp;lt;&amp;amp;", "&lt;&amp;"),  # only predefined entities
+            ("&amp;lt;&#65;&amp;#66;", "&lt;A&#66;"),  # with a character reference
+        ],
+    )
+    def test_expanded_ampersand_is_not_expanded_again(self, raw, expected):
+        assert parse(f"<a>{raw}</a>").text == expected
+        assert parse(f'<a v="{raw}"/>')["v"] == expected
+
 
 class TestWellFormednessErrors:
     @pytest.mark.parametrize(

@@ -12,8 +12,10 @@ from repro.xmlkit import (
     escape_text,
     loads,
     parse,
+    parse_events,
     sax_parse,
 )
+from repro.xmlkit.parser import StartElement
 
 # -- strategies ---------------------------------------------------------------
 
@@ -176,3 +178,83 @@ def test_xpath_parent_inverts_child(element):
     for child in select(element, "*"):
         parents = select(child, "..")
         assert parents == [element]
+
+
+# -- positions ------------------------------------------------------------------
+
+position_names = st.sampled_from(["a", "b-1", "ns:item", "_x.y", "é", "名前", "Δx"])
+separators = st.sampled_from([" ", "\n", "\r\n", "\t", " \r\n\t "])
+# entity-laden character data, with line breaks; legal in text and in a
+# double-quoted attribute value alike
+fragment_text = st.lists(
+    st.sampled_from(
+        ["word", " ", "\n", "\r\n", "\t", "ü", "&lt;", "&amp;", "&gt;&quot;'", "&#65;", "&#x4E2D;"]
+    ),
+    max_size=6,
+).map("".join)
+misc_nodes = st.sampled_from(
+    ["<!-- note\r\n  more -->", "<![CDATA[x\n<&>\r\n]]>", "<?pi data\n?>", "<!---->"]
+)
+equals_signs = st.sampled_from(["=", " = ", "\n=\t"])
+tag_ends = st.sampled_from(["", " ", "\r\n"])
+prologs = st.sampled_from(
+    [
+        "",
+        "\n\t",
+        '<?xml version="1.0"?>\r\n',
+        "<!-- prolog\nline -->\n",
+        "<!DOCTYPE r [\n<!ELEMENT r ANY>\n]>\n",
+    ]
+)
+
+
+@st.composite
+def positioned_documents(draw):
+    """A multi-line document and the offset of each start tag in it."""
+    pieces: list[str] = [draw(prologs)]
+    offsets: list[int] = []
+    length = len(pieces[0])
+
+    def emit(fragment, start_tag=False):
+        nonlocal length
+        if start_tag:
+            offsets.append(length)
+        pieces.append(fragment)
+        length += len(fragment)
+
+    def element(depth):
+        name = draw(position_names)
+        attributes = "".join(
+            f'{draw(separators)}k{index}{draw(equals_signs)}"{draw(fragment_text)}"'
+            for index in range(draw(st.integers(0, 2)))
+        )
+        space = draw(tag_ends)
+        if depth == 0 or draw(st.integers(0, 4)) == 0:
+            emit(f"<{name}{attributes}{space}/>", start_tag=True)
+            return
+        emit(f"<{name}{attributes}{space}>", start_tag=True)
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.integers(0, 2))
+            if kind == 0:
+                element(depth - 1)
+            elif kind == 1:
+                emit(draw(fragment_text))
+            else:
+                emit(draw(misc_nodes))
+        emit(f"</{name}{draw(tag_ends)}>")
+
+    element(3)
+    emit(draw(st.sampled_from(["", "\n", "\r\n \t"])))
+    return "".join(pieces), offsets
+
+
+@given(positioned_documents())
+@settings(max_examples=150, deadline=None)
+def test_start_element_positions_match_offsets(case):
+    """Each StartElement's (line, column) is the 1-based position of its '<'."""
+    text, offsets = case
+    starts = [e for e in parse_events(text) if isinstance(e, StartElement)]
+    expected = [
+        (text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)) for off in offsets
+    ]
+    assert [(e.line, e.column) for e in starts] == expected
